@@ -2,7 +2,7 @@
 
 Each figure/table bench reads from these cached runs, times a
 representative kernel through pytest-benchmark, and prints a
-paper-vs-measured table (also appended to ``benchmarks/results/``).
+paper-vs-measured table (also written to ``benchmarks/results/``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from repro.eval.harness import run_batch_per_round, run_incremental
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: Result files already written this session: the first write truncates,
+#: later ones append, so each file holds exactly one session's tables.
+_WRITTEN: set[str] = set()
+
 
 @pytest.fixture
 def emit(capsys):
@@ -45,7 +49,9 @@ def emit(capsys):
         with capsys.disabled():
             print(text)
         RESULTS_DIR.mkdir(exist_ok=True)
-        with open(RESULTS_DIR / filename, "a") as handle:
+        mode = "a" if filename in _WRITTEN else "w"
+        _WRITTEN.add(filename)
+        with open(RESULTS_DIR / filename, mode) as handle:
             handle.write(text + "\n")
 
     return _emit

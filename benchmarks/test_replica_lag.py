@@ -2,18 +2,20 @@
 
 Not a paper figure: benchmarks the replication layer on the synthetic
 Access workload so future scaling PRs (async shipping, parallel
-replica apply, snapshot shipping) have numbers to beat. The primary
-ingests the stream in bursts; after each burst we record how far the
-replica has fallen behind (seq delta) and how long one `sync()` takes
-to catch it up, plus end-to-end shipped-bytes accounting. Emits a
-table and ``benchmarks/results/replica_lag.json``.
+replica apply, snapshot shipping) have numbers to beat. One tenant of
+a durable ``repro.serve.Service`` ingests the stream in bursts, with
+replicas attached through ``add_replica()``; after each burst we
+record how far the replicas have fallen behind (seq delta) and how
+long one ``Service.sync()`` takes to catch them up, plus end-to-end
+shipped-bytes accounting. Emits a table and
+``benchmarks/results/replica_lag.json``.
 
 Correctness is asserted only loosely here (partition equality at the
 end — the hard invariants live in ``tests/test_replica.py``); absolute
 timings are machine-dependent and deliberately not gated.
 
-The run executes with telemetry ON (one shared recorder across
-primary, shipper and replicas), so alongside the lag JSON it uploads
+The run executes with telemetry ON (one shared recorder across the
+tenant pool, shipper and replicas), so alongside the lag JSON it uploads
 the full observability artefact set: ``replica_lag_metrics.json`` (the
 merged snapshot, span p50/p95/p99 included), ``replica_lag_metrics.prom``
 (Prometheus text exposition) and ``replica_lag_trace.json`` (Chrome
@@ -31,13 +33,13 @@ from repro.data.generators import generate_access
 from repro.data.workload import OperationMix, build_workload
 from repro.eval import render_table
 from repro.obs import Histogram, Telemetry, write_metrics_json, write_metrics_prometheus
-from repro.replica import ReplicatedClusteringService
-from repro.stream import StreamConfig
+from repro.serve import Service
 
 from conftest import RESULTS_DIR
 
 N_REPLICAS = 2
 BURSTS = 6
+TENANT = "access"
 
 
 def test_replica_lag(emit, tmp_path):
@@ -55,17 +57,22 @@ def test_replica_lag(emit, tmp_path):
         return DynamicC(dataset.graph(), DBIndexObjective(), seed=0)
 
     telemetry = Telemetry()
-    config = StreamConfig(
+    service = Service.open(
+        engine_factory=factory,
         n_shards=2,
         batch_max_ops=64,
         train_rounds=2,
-        oplog_path=tmp_path / "primary" / "oplog.jsonl",
-        checkpoint_dir=tmp_path / "primary" / "checkpoints",
+        root_dir=tmp_path / "state",
         telemetry=telemetry,
+        max_segment_ops=256,
     )
-    service = ReplicatedClusteringService(factory, config, max_segment_ops=256)
-    for index in range(N_REPLICAS):
-        service.add_replica(name=f"replica-{index}")
+    tenant = service.tenant(TENANT)
+    replicas = [
+        tenant.add_replica(name=f"replica-{index}") for index in range(N_REPLICAS)
+    ]
+
+    def lags():
+        return [replica.lag() for replica in replicas]
 
     ingest_latency = Histogram()
     sync_latency = Histogram()
@@ -76,13 +83,13 @@ def test_replica_lag(emit, tmp_path):
         if not chunk:
             break
         ingest_start = time.perf_counter()
-        service.ingest(chunk)
+        tenant.ingest(chunk)
         ingest_s = time.perf_counter() - ingest_start
         ingest_latency.record(ingest_s)
 
-        behind = max(s["behind"] for s in service.shipper.stats())
+        behind = max(s["behind"] for s in service.manager.stats()["shipping"])
         sync_start = time.perf_counter()
-        applied = service.sync()
+        applied = sum(service.sync()["applied"].values())
         sync_s = time.perf_counter() - sync_start
         sync_latency.record(sync_s)
         rows.append(
@@ -94,28 +101,27 @@ def test_replica_lag(emit, tmp_path):
                 "ops_applied_on_sync": applied,
                 "sync_s": sync_s,
                 "catchup_ops_per_s": applied / sync_s if sync_s > 0 else 0.0,
-                "max_seq_delta_after": max(
-                    lag["seq_delta"] for lag in service.lag()
-                ),
+                "max_seq_delta_after": max(lag["seq_delta"] for lag in lags()),
                 "max_visibility_lag_s_after": max(
                     lag["visibility_lag_s"]
-                    for lag in service.lag()
+                    for lag in lags()
                     if lag["visibility_lag_s"] is not None
                 ),
             }
         )
 
-    service.flush()
+    tenant.flush()
     service.sync()
-    primary_partition = service.primary.partition()
-    for replica in service.replicas:
+    primary_partition = tenant.partition()
+    for replica in replicas:
         assert replica.partition() == primary_partition
         assert replica.lag()["seq_delta"] == 0
 
-    # Per-node e2e visibility percentiles (primary ingest → queryable
-    # on that node), straight from the shared recorder.
+    # Per-node e2e visibility percentiles (ingest → queryable on that
+    # node: the tenant pool and each replica), straight from the shared
+    # recorder.
     visibility = telemetry.snapshot()["metrics"]["e2e_visibility_seconds"]
-    expected_nodes = {"replica=primary"} | {
+    expected_nodes = {f"replica={service.config.node_name}:{TENANT}"} | {
         f"replica=replica-{index}" for index in range(N_REPLICAS)
     }
     assert set(visibility) == expected_nodes
@@ -166,13 +172,13 @@ def test_replica_lag(emit, tmp_path):
                             "applied_watermark_ts": lag["applied_watermark_ts"],
                             "visibility_lag_s": lag["visibility_lag_s"],
                         }
-                        for lag in service.lag()
+                        for lag in lags()
                     },
                 },
                 "final": {
-                    "primary_oplog_bytes": service.primary.stats()["oplog_bytes"],
+                    "primary_oplog_bytes": service.stats()["oplog"]["bytes"],
                     "clusters": len(primary_partition),
-                    "shipping": service.shipper.stats(),
+                    "shipping": service.manager.stats()["shipping"],
                 },
             },
             handle,
@@ -181,7 +187,7 @@ def test_replica_lag(emit, tmp_path):
         handle.write("\n")
 
     # The observability artefact set for CI upload: one merged snapshot
-    # (metrics + recent spans) over the whole primary→shipper→replica
+    # (metrics + recent spans) over the whole tenant→shipper→replica
     # pipeline, its Prometheus exposition, and the Chrome trace.
     merged = service.stats()
     write_metrics_json(RESULTS_DIR / "replica_lag_metrics.json", merged)
@@ -189,10 +195,10 @@ def test_replica_lag(emit, tmp_path):
     telemetry.write_chrome_trace(RESULTS_DIR / "replica_lag_trace.json")
     span_names = {
         name.split("=", 1)[1]
-        for name in merged["primary"]["telemetry"]["metrics"]["span_seconds"]
+        for name in merged["telemetry"]["metrics"]["span_seconds"]
     }
     # The shared recorder really did see every pipeline stage.
-    assert {"stream.ingest", "shard.apply", "ship.publish", "replica.poll"} <= span_names
+    assert {"serve.ingest", "shard.apply", "ship.publish", "replica.poll"} <= span_names
 
     # Sanity floors only — the trajectory lives in the JSON artefact.
     assert all(r["catchup_ops_per_s"] > 0 for r in rows)

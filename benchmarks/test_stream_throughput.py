@@ -59,7 +59,7 @@ def _run_once(factory, events, n_shards: int, router: str):
     wall = time.perf_counter() - start
     stats = service.stats()
     assert stats["applied_seq"] == len(events)
-    assert stats["pending_ops"] == 0
+    assert stats["backlog"] == 0
     return wall, stats
 
 

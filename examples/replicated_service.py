@@ -1,14 +1,18 @@
-"""Primary/replica DynamicC: oplog shipping, lagging reads, failover.
+"""Replicated DynamicC: tenant replicas, lagging reads, compaction.
 
-A durable primary ingests a dynamic workload in bursts while two read
-replicas (one in-memory, one durable with sqlite storage) tail its
-shipped operation log. Along the way: explicit lag before/after each
-catch-up, membership equality after catch-up, a follower→primary
-failover that keeps serving, and — after the log has been compacted —
-a brand-new mailbox follower that joins from a shipped snapshot with
-no access to the primary's state directories:
+One durable ``Service`` ingests a dynamic workload into a tenant in
+bursts while two read replicas — attached with ``add_replica()``, the
+one replication path — tail the shared operation log. Along the way:
+explicit lag before/after each catch-up, membership equality after
+catch-up, and — after the log has been compacted — a late replica that
+bootstraps from the tenant's newest checkpoint and is shipped only the
+suffix:
 
     python examples/replicated_service.py
+
+Follower→primary failover is a ``ReadReplica.promote()`` on a durable
+follower, or the cross-process ``python -m repro.replica.follower``
+daemon; ``tests/test_chaos.py`` drills both.
 """
 
 import pathlib
@@ -18,11 +22,10 @@ from repro.clustering.objectives import DBIndexObjective
 from repro.core import DynamicC
 from repro.data.generators import generate_access
 from repro.data.workload import OperationMix, build_workload
-from repro.replica import MailboxTransport, ReadReplica, ReplicatedClusteringService
-from repro.stream import StreamConfig
+from repro.serve import Service
 
 # ---------------------------------------------------------------------------
-# 1. A workload, an engine factory, a durable primary with two replicas.
+# 1. A workload, an engine factory, a durable service with two replicas.
 # ---------------------------------------------------------------------------
 dataset = generate_access(n_profiles=8, n_records=500, seed=3)
 workload = build_workload(
@@ -39,111 +42,68 @@ def factory():
     return DynamicC(dataset.graph(), DBIndexObjective(), seed=0)
 
 state_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-replica-"))
-service = ReplicatedClusteringService(
-    factory,
-    StreamConfig(
-        n_shards=2,
-        batch_max_ops=48,
-        train_rounds=2,
-        oplog_path=state_dir / "primary" / "oplog.jsonl",
-        checkpoint_dir=state_dir / "primary" / "checkpoints",
-    ),
+service = Service.open(
+    engine_factory=factory,
+    n_shards=2,
+    batch_max_ops=48,
+    train_rounds=2,
+    root_dir=state_dir,
 )
-service.add_replica(name="mem-replica")  # disposable, in-memory
-service.add_replica(  # durable follower on sqlite storage: the promotion heir
-    StreamConfig(
-        n_shards=2,
-        batch_max_ops=48,
-        train_rounds=2,
-        oplog_path=state_dir / "heir" / "oplog.sqlite",
-        checkpoint_dir=state_dir / "heir" / "checkpoints",
-        log_backend="sqlite",
-        checkpoint_backend="sqlite",
-    ),
-    name="heir",
-)
+tenant = service.tenant("access")
+replicas = [tenant.add_replica(name="r0"), tenant.add_replica(name="r1")]
 
 # ---------------------------------------------------------------------------
-# 2. Ingest on the primary in bursts; replicas answer (stale) reads and
-#    catch up on every sync().
+# 2. Ingest in bursts; replicas answer (stale) reads and catch up on
+#    every sync().
 # ---------------------------------------------------------------------------
 burst = len(events) // 4
 for start in range(0, len(events), burst):
-    service.ingest(events[start : start + burst])
+    tenant.ingest(events[start : start + burst])
     # Two views of lag: the shipper knows how far each follower's cursor
     # trails the log; lag() is each replica's own (last-heard) view.
-    behind = [s["behind"] for s in service.shipper.stats()]
+    behind = [s["behind"] for s in service.stats()["shipping"]]
     service.sync()
-    after = [(lag["name"], lag["seq_delta"]) for lag in service.lag()]
+    after = [(r.name, r.lag()["seq_delta"]) for r in replicas]
     print(f"burst at {start:4d}: followers behind by {behind} ops -> after sync {after}")
 
-service.flush()
+tenant.flush()
 service.sync()
 
-# Reads round-robin over the replicas; membership equality after catch-up.
-primary_live = service.primary.membership.live_ids()
-assert all(r.service.membership.live_ids() == primary_live for r in service.replicas)
-assert all(r.partition() == service.primary.partition() for r in service.replicas)
-some_id = sorted(primary_live)[0]
+# Membership equality after catch-up. Cluster ids are replica-relative,
+# so a compound query (id -> cluster -> members) resolves on ONE node.
+assert all(r.partition() == tenant.partition() for r in replicas)
+some_id = min(obj_id for members in tenant.partition() for obj_id in members)
+reader = replicas[0]
+peers = reader.members(reader.cluster_of(some_id))
 print(
-    f"caught up: {len(primary_live)} objects on all nodes; object {some_id} "
-    f"has {len(service.members_of(some_id))} cluster peers (served by a replica)"
+    f"caught up: {tenant.num_objects()} objects on all nodes; object {some_id} "
+    f"has {len(peers)} cluster peers (served by {reader.name})"
 )
 
 # ---------------------------------------------------------------------------
-# 3. Failover: the durable follower becomes the primary (recover path),
-#    the in-memory replica keeps tailing the new log, ingest continues.
+# 3. Compaction, then a late joiner: checkpoint the tenant, truncate the
+#    shared log to the safe floor (oldest retained checkpoint, every
+#    replica cursor), and attach a new replica. It bootstraps from the
+#    tenant's newest checkpoint and is shipped only the suffix.
 # ---------------------------------------------------------------------------
 service.checkpoint()
-promoted = service.promote(1)  # "heir"
-print(f"failover: new primary at seq {promoted.oplog.last_seq} (sqlite log)")
-
-late_updates = [("update", some_id, dataset.records[0].payload)]
-service.ingest(late_updates)
-service.flush()
-service.sync()
-assert service.replicas[0].partition() == promoted.partition()
-print(
-    f"post-failover: {promoted.num_objects()} objects, "
-    f"{len(promoted.clusters())} clusters, replica lag "
-    f"{service.lag()[0]['seq_delta']} — membership equal on both nodes"
-)
-
-# ---------------------------------------------------------------------------
-# 4. Compaction, then a late joiner: truncate the log through the newest
-#    snapshot, and have a brand-new follower join anyway — the shipper
-#    heals the missing prefix by shipping the checkpoint itself, so the
-#    follower needs only the spool directory (never the primary's
-#    checkpoint or oplog paths).
-# ---------------------------------------------------------------------------
-service.checkpoint()
+checkpoint_seq = service.manager.activate("access").service.applied_seq
 report = service.compact()
 print(
     f"compaction: log truncated through seq {report['truncated_through']}, "
     f"{report['reclaimed_bytes']} bytes reclaimed, {report['log_bytes']} left"
 )
 
-spool = state_dir / "spool"
-service.shipper.attach(MailboxTransport(spool), from_seq=0)  # knows nothing yet
-service.shipper.ship()  # gap at seq 0 → snapshot + suffix into the spool
-joiner = ReadReplica(
-    factory,
-    StreamConfig(  # the joiner's own two directories, nothing shared
-        n_shards=2,
-        batch_max_ops=48,
-        train_rounds=2,
-        oplog_path=state_dir / "joiner" / "oplog.jsonl",
-        checkpoint_dir=state_dir / "joiner" / "checkpoints",
-    ),
-    MailboxTransport(spool),
-    name="late-joiner",
-)
-joiner.poll()
-assert joiner.partition() == promoted.partition()
+late_updates = [("update", some_id, dataset.records[0].payload)]
+tenant.ingest(late_updates)
+tenant.flush()
+joiner = tenant.add_replica(name="late-joiner")
+assert joiner.received_seq == checkpoint_seq  # seeded by the checkpoint
+service.sync()
+assert joiner.partition() == tenant.partition()
 print(
-    f"late joiner: bootstrapped from {joiner.snapshots_applied} shipped "
-    f"snapshot to seq {joiner.received_seq}, lag {joiner.lag()['seq_delta']} "
-    "— partition equal to the primary, via the spool alone"
+    f"late joiner: bootstrapped from the checkpoint at seq {checkpoint_seq}, "
+    f"then {joiner.segments_applied} shipped segment(s); lag "
+    f"{joiner.lag()['seq_delta']} — partition equal to the tenant's"
 )
-joiner.close()
 service.close()

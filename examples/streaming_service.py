@@ -55,7 +55,7 @@ service.ingest(events[cut : cut + 50])
 
 stats = service.stats()
 print(
-    f"ingested {stats['events_ingested']} events in {stats['batches_applied']} rounds, "
+    f"ingested {stats['ops_total']} events in {stats['batches_applied']} rounds, "
     f"{stats['num_objects']} live objects in {stats['num_clusters']} clusters"
 )
 print(

@@ -27,9 +27,9 @@ Public API tour
   hash-routed engine pool, checkpoint/recovery, metrics, and the
   :class:`~repro.stream.ClusteringService` façade.
 * :mod:`repro.replica` — replication on top of the log: oplog shipping
-  over pluggable transports, read replicas with explicit lag, and the
-  :class:`~repro.replica.ReplicatedClusteringService` primary/replica
-  façade with follower→primary failover.
+  over pluggable transports, read replicas with explicit lag and
+  follower→primary failover (:meth:`~repro.replica.ReadReplica.promote`,
+  the ``FollowerDaemon``).
 * :mod:`repro.serve` — **the public front door**: multi-tenant
   namespaces behind one :class:`~repro.serve.Service` — per-tenant
   engine pools over a shared tenant-stamped log, admission quotas,
@@ -63,7 +63,7 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.faults import CircuitBreaker, ErrorInjector, FaultInjector, RetryPolicy
-from repro.replica import ReadReplica, ReplicatedClusteringService
+from repro.replica import ReadReplica
 from repro.serve import ServeConfig, Service, TenantHandle, TenantManager
 from repro.similarity import SimilarityGraph
 from repro.stream import ClusteringService, Operation, StreamConfig
@@ -94,7 +94,6 @@ __all__ = [
     "Operation",
     "QuotaExceeded",
     "ReadReplica",
-    "ReplicatedClusteringService",
     "RetryPolicy",
     "ServeConfig",
     "ServeError",

@@ -3,7 +3,7 @@
 from .config import DynamicCConfig
 from .density import DBSCANBatchAdapter, DensityObjective, make_dynamic_dbscan
 from .dynamicc import DynamicC, ObservationStats, RoundStats
-from .evolution import EvolutionLog, MergeOp, SplitOp
+from repro.evolution import EvolutionLog, MergeOp, SplitOp
 from .features import (
     MERGE_FEATURE_NAMES,
     SPLIT_FEATURE_NAMES,

@@ -30,7 +30,7 @@ from repro.clustering.state import Clustering
 from repro.ml.base import BinaryClassifier
 
 from .config import DynamicCConfig
-from .evolution import EvolutionLog, MergeOp, SplitOp
+from repro.evolution import EvolutionLog, MergeOp, SplitOp
 from .features import ClusterFeatures, cluster_features
 from .sampling import sample_negatives
 from .transformation import derive_transformation

@@ -19,21 +19,18 @@ reads*. This package turns that property into a primary/replica system:
   bootstrap/re-sync from shipped snapshots, gap-refusing tailing,
   explicit :meth:`~ReadReplica.lag`, and :meth:`~ReadReplica.promote`
   failover;
-* :mod:`repro.replica.service` — :class:`ReplicatedClusteringService`,
-  the one-primary/N-replica façade with round-robin read routing,
-  self-healing :meth:`~ReplicatedClusteringService.sync`,
-  snapshot-bounded :meth:`~ReplicatedClusteringService.compact`, and —
-  with ``StreamConfig(obs_server=...)`` — one topology-wide HTTP
-  operational surface (metrics, traces, per-replica health);
 * :mod:`repro.replica.follower` — :class:`FollowerDaemon` /
   ``python -m repro.replica.follower``: a standalone mailbox follower
   on a poll timer, serving its own endpoints, with readiness gated on
   bootstrap.
+
+Topology wiring — one shipper over the log, ``add_replica``, ``sync``,
+the compaction floor and per-replica ``/readyz`` checks — lives in
+:mod:`repro.serve` (``service.tenant(name).add_replica()``).
 """
 
 from .replica import ReadReplica
 from .segment import LogSegment, ReplicationGap, SnapshotArtifact
-from .service import ReplicatedClusteringService
 from .shipper import LogShipper
 from .transport import InProcessTransport, MailboxTransport, Transport
 
@@ -55,7 +52,6 @@ __all__ = [
     "LogShipper",
     "MailboxTransport",
     "ReadReplica",
-    "ReplicatedClusteringService",
     "ReplicationGap",
     "SnapshotArtifact",
     "Transport",

@@ -438,7 +438,7 @@ class ReadReplica:
         }
 
     # ------------------------------------------------------------------
-    # Reads (same query surface as the primary façade)
+    # Reads (same query surface as a tenant handle)
     # ------------------------------------------------------------------
     def cluster_of(self, obj_id: int) -> str | None:
         return self.service.cluster_of(obj_id)
@@ -455,8 +455,8 @@ class ReadReplica:
     def num_objects(self) -> int:
         return self.service.num_objects()
 
-    def stats(self, legacy: bool = True) -> dict:
-        snapshot = self.service.stats(legacy=legacy)
+    def stats(self) -> dict:
+        snapshot = self.service.stats()
         snapshot["replica"] = self.lag()
         snapshot["segments_applied"] = self.segments_applied
         snapshot["duplicates_dropped"] = self.duplicates_dropped

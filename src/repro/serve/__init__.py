@@ -18,10 +18,9 @@ The redesigned public API over the streaming/replication stack:
   :class:`ConfigError`, :class:`QuotaExceeded`,
   :class:`UnknownTenantError`), re-exported for convenience.
 
-The pre-serve façades — ``repro.stream.ClusteringService`` and
-``repro.replica.ReplicatedClusteringService`` — keep working unchanged
-this release and emit a ``DeprecationWarning`` pointing here; see the
-README's "Service API" migration table.
+The pre-serve façade ``repro.stream.ClusteringService`` keeps working
+unchanged this release and emits a ``DeprecationWarning`` pointing
+here; see the README's "Service API" migration table.
 """
 
 from repro.errors import (

@@ -19,9 +19,8 @@ surface, all configured by one :class:`~repro.serve.ServeConfig`. A
 safe to hold across evictions (the pool reloads lazily on the next
 touch).
 
-The pre-serve façades (``repro.stream.ClusteringService``,
-``repro.replica.ReplicatedClusteringService``) keep working unchanged
-this release; constructing them directly emits a
+The pre-serve façade ``repro.stream.ClusteringService`` keeps working
+unchanged this release; constructing or recovering it directly emits a
 ``DeprecationWarning`` pointing here.
 """
 
@@ -80,8 +79,8 @@ class TenantHandle:
     def num_objects(self) -> int:
         return self._manager.activate(self.name).service.num_objects()
 
-    def stats(self, legacy: bool = True) -> dict:
-        return self._manager.tenant_stats(self.name, legacy=legacy)
+    def stats(self) -> dict:
+        return self._manager.tenant_stats(self.name)
 
     @property
     def resident(self) -> bool:
@@ -157,8 +156,8 @@ class Service:
             for name in self.manager.tenants()
         ]
 
-    def stats(self, legacy: bool = True) -> dict:
-        snapshot = self.manager.stats(legacy=legacy)
+    def stats(self) -> dict:
+        snapshot = self.manager.stats()
         snapshot["obs_address"] = self.obs_address
         snapshot["telemetry"] = self.telemetry.snapshot()
         return snapshot

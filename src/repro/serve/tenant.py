@@ -28,10 +28,11 @@ manager owns:
   and reloads lazily on its next touch from its checkpoint plus the
   shared-log suffix (pending operations live in the log past the
   checkpoint's ``applied_seq``, so eviction loses nothing);
-* **replication** — one :class:`~repro.replica.LogShipper` fans the
-  shared log out to tenant-filtered
-  :class:`~repro.replica.ReadReplica` followers, each bootstrapped
-  from its tenant's newest checkpoint.
+* **replication** — the only replication path: one
+  :class:`~repro.replica.LogShipper` fans the shared log out to
+  tenant-filtered :class:`~repro.replica.ReadReplica` followers, each
+  bootstrapped from its tenant's newest checkpoint and reporting a
+  ``replica:<name>`` lag check behind ``/readyz``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ from repro.errors import (
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.inject import fire
 from repro.faults.retry import RetryPolicy
-from repro.obs.health import HealthRegistry, check_oplog, degraded, ok
+from repro.obs.health import (
+    HealthRegistry,
+    check_oplog,
+    check_replica_lag,
+    degraded,
+    ok,
+)
 from repro.obs.logging import NULL_LOGGER, StructuredLogger
 from repro.obs.telemetry import make_telemetry
 from repro.replica.replica import ReadReplica
@@ -170,6 +177,14 @@ class TenantManager:
         self._resident_gauge = self.telemetry.gauge(
             "resident_tenants",
             help="Tenant engine pools currently live in memory",
+        )
+        # Same family (and label) as every ClusteringService's gauge:
+        # tenant pools own no log, so the node's commit watermark is
+        # set here, where the shared log accepts the ops.
+        self._commit_watermark = self.telemetry.gauge(
+            "commit_watermark_ts",
+            labels=("replica",),
+            help="Wall-clock ingest_ts of the newest operation accepted",
         )
         self._degraded_total = 0
         self._degraded_counter = self.telemetry.counter(
@@ -443,6 +458,10 @@ class TenantManager:
                     for offset, op in enumerate(stamped)
                 ]
                 self._next_seq += len(stamped)
+            if stamped and self.telemetry.enabled:
+                self._commit_watermark.labels(replica=self.config.node_name).set(
+                    stamped[-1].ingest_ts
+                )
             entry.service.apply_logged(stamped)
         accepted = len(stamped)
         self._ops_total += accepted
@@ -705,7 +724,7 @@ class TenantManager:
         if floor <= 0:
             return {
                 "truncated_through": 0,
-                "kept_ops": 0,
+                "kept_ops": sum(1 for _ in self.oplog.iter_from(0)),
                 "reclaimed_bytes": 0,
                 "log_bytes": self.oplog.size_bytes(),
             }
@@ -765,6 +784,14 @@ class TenantManager:
         )
         self._shipper.attach(transport, from_seq=replica.received_seq)
         self._replicas[name] = replica
+        self.health.register(
+            f"replica:{name}",
+            check_replica_lag(
+                replica.lag,
+                max_seq_delta=replica.max_lag_ops,
+                max_staleness_s=replica.max_staleness_s,
+            ),
+        )
         if self.logger.enabled:
             self.logger.info(
                 "replica_attached",
@@ -795,7 +822,7 @@ class TenantManager:
     # ------------------------------------------------------------------
     # Stats / health
     # ------------------------------------------------------------------
-    def tenant_stats(self, name: str, legacy: bool = True) -> dict:
+    def tenant_stats(self, name: str) -> dict:
         """One tenant's stats — without disturbing the LRU order.
 
         A resident tenant reports its full engine-pool snapshot; an
@@ -805,7 +832,11 @@ class TenantManager:
         self.check_name(name)
         entry = self._residents.get(name)
         if entry is not None:
-            snapshot = entry.service.stats(legacy=legacy)
+            snapshot = entry.service.stats()
+            # The pool owns no log; its commits land in the shared one.
+            snapshot["commit_watermark_ts"] = (
+                self.oplog.last_watermark_ts if self.oplog is not None else None
+            )
             snapshot["tenant"] = name
             snapshot["resident"] = True
             return snapshot
@@ -813,7 +844,7 @@ class TenantManager:
             raise UnknownTenantError(f"unknown tenant {name!r}")
         return {"tenant": name, "resident": False}
 
-    def stats(self, legacy: bool = True) -> dict:
+    def stats(self) -> dict:
         latency = self._ingest_latency.to_dict()
         rejections_total = sum(
             count
@@ -854,12 +885,13 @@ class TenantManager:
                     "last_seq": self.oplog.last_seq,
                     "bytes": self.oplog.size_bytes(),
                     "reclaimed_bytes": self.oplog.bytes_reclaimed,
+                    "last_watermark_ts": self.oplog.last_watermark_ts,
                 }
                 if self.oplog is not None
                 else None
             ),
             "tenants": {
-                name: self.tenant_stats(name, legacy=legacy)
+                name: self.tenant_stats(name)
                 for name in self.tenants()
             },
         }

@@ -98,7 +98,7 @@ class MetricsRegistry:
 
     def __init__(self, n_shards: int) -> None:
         self.shards = [ShardMetrics() for _ in range(n_shards)]
-        self.events_ingested = 0
+        self.ops_total = 0
         self.batches_applied = 0
         self.batch_latency = LatencyStat()
         self.checkpoints_taken = 0
@@ -113,17 +113,15 @@ class MetricsRegistry:
         applied = sum(shard.ops_applied for shard in self.shards)
         return applied / busy if busy > 0 else 0.0
 
-    def snapshot(self, legacy: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Counters as one dict, in the canonical stats() key shape.
 
         ``ops_total`` and the ``p50_s``/``p95_s``/``p99_s`` percentile
-        trio (of batch-apply latency) are the cross-layer contract;
-        ``legacy=True`` (the default, for one release) additionally
-        emits the pre-1.4 alias ``events_ingested``.
+        trio (of batch-apply latency) are the cross-layer contract.
         """
         latency = self.batch_latency.to_dict()
         out = {
-            "ops_total": self.events_ingested,
+            "ops_total": self.ops_total,
             "p50_s": latency["p50_s"],
             "p95_s": latency["p95_s"],
             "p99_s": latency["p99_s"],
@@ -134,6 +132,4 @@ class MetricsRegistry:
             "recoveries": self.recoveries,
             "shards": [shard.to_dict() for shard in self.shards],
         }
-        if legacy:
-            out["events_ingested"] = self.events_ingested
         return out

@@ -61,14 +61,13 @@ from .router import (
 from .shard import EngineFactory, StreamShard
 
 # ---------------------------------------------------------------------------
-# Deprecation plumbing for the pre-serve façades
+# Deprecation plumbing for the pre-serve façade
 # ---------------------------------------------------------------------------
-# ClusteringService (and ReplicatedClusteringService on top of it) remain
-# the engine rooms of the stack, but the *public front door* is now
-# ``repro.serve.Service``. Direct construction of the old façades warns;
-# the serve/replica layers construct them inside ``_internal_construction``
-# so internal reuse stays silent — a user sees exactly one warning per
-# deprecated entry point they themselves call.
+# ClusteringService remains the engine room of the stack, but the
+# *public front door* is now ``repro.serve.Service``. Direct construction
+# (or ``recover``) warns; the serve/replica layers call them inside
+# ``_internal_construction`` so internal reuse stays silent — a user sees
+# exactly one warning per deprecated entry point they themselves call.
 _INTERNAL_DEPTH = 0
 
 
@@ -84,6 +83,12 @@ def _internal_construction():
 
 
 def _warn_deprecated_facade(old: str, new: str) -> None:
+    """Warn on behalf of the caller of the public entry point.
+
+    ``stacklevel=3`` skips this helper and the entry point itself, so
+    the warning is attributed to user code — where Python's default
+    filters show it.
+    """
     if _INTERNAL_DEPTH == 0:
         warnings.warn(
             f"{old} is deprecated as a public entry point; use {new} "
@@ -150,9 +155,9 @@ class StreamConfig:
         (p50/p95/p99 per instrumented site) and a Chrome-trace ring
         buffer into a fresh :class:`repro.obs.Telemetry`; passing a
         :class:`repro.obs.Telemetry` *instance* shares one collection
-        point across services (primary + replicas + shipper), which is
-        how :class:`~repro.replica.ReplicatedClusteringService` merges
-        the whole topology into a single snapshot.
+        point across services (tenant pools + replicas + shipper),
+        which is how :class:`repro.serve.Service` merges the whole
+        topology into a single snapshot.
     obs_server:
         ``"host:port"`` to serve the operational surface over HTTP
         (``/metrics``, ``/metrics.json``, ``/traces``, ``/healthz``,
@@ -433,7 +438,7 @@ class ClusteringService:
                     for offset, op in enumerate(ops)
                 ]
                 self._next_seq += len(ops)
-            self.metrics.events_ingested += len(ops)
+            self.metrics.ops_total += len(ops)
             self.batcher.extend(ops)
             self._apply_ready()
             return len(ops)
@@ -454,7 +459,7 @@ class ClusteringService:
                 self._commit_watermark.labels(replica=self.node_name).set(
                     ops[-1].ingest_ts
                 )
-            self.metrics.events_ingested += len(ops)
+            self.metrics.ops_total += len(ops)
             self.batcher.extend(ops)
             self._apply_ready()
         return len(ops)
@@ -578,19 +583,16 @@ class ClusteringService:
     def num_objects(self) -> int:
         return len(self.membership)
 
-    def stats(self, legacy: bool = True) -> dict:
+    def stats(self) -> dict:
         """Telemetry snapshot plus live engine/stream gauges.
 
         The canonical cross-layer shape (shared with
-        :class:`~repro.replica.ReadReplica`,
-        :class:`~repro.replica.ReplicatedClusteringService` and
+        :class:`~repro.replica.ReadReplica` and
         :class:`repro.serve.Service`): ``ops_total``, ``backlog``, the
         ``p50_s``/``p95_s``/``p99_s`` trio, and nested per-component
-        dicts. ``legacy=True`` — the default for this release, flipping
-        to ``False`` next — additionally emits the pre-1.4 aliases
-        ``events_ingested`` and ``pending_ops``.
+        dicts.
         """
-        snapshot = self.metrics.snapshot(legacy=legacy)
+        snapshot = self.metrics.snapshot()
         snapshot.update(
             backlog=len(self.batcher),
             router=self.config.router,
@@ -609,8 +611,6 @@ class ClusteringService:
                 self.oplog.bytes_reclaimed if self.oplog is not None else 0
             ),
         )
-        if legacy:
-            snapshot["pending_ops"] = len(self.batcher)
         for shard, shard_stats in zip(self.shards, snapshot["shards"]):
             shard_stats.update(
                 objects=shard.num_objects(),
@@ -665,7 +665,7 @@ class ClusteringService:
                     # Already-stamped placements teach the router its
                     # load state (recovery, replicas, promotion).
                     self.router.observe(operation)
-                    self.metrics.events_ingested += 1
+                    self.metrics.ops_total += 1
                     self.batcher.add(operation)
                     self._apply_ready()
         finally:
@@ -738,7 +738,11 @@ class ClusteringService:
         hand the snapshot in directly via ``snapshot`` (e.g. one shipped
         from a primary) instead of reading the local checkpoint store.
         """
-        service = cls(engine_factory, config)
+        _warn_deprecated_facade(
+            "repro.stream.ClusteringService.recover", "repro.serve.Service"
+        )
+        with _internal_construction():
+            service = cls(engine_factory, config)
         state = snapshot
         if state is None and service.checkpoints is not None:
             with service.telemetry.span("checkpoint.load"):

@@ -1,6 +1,6 @@
 """Tests for `repro.obs`: metric primitives, tracing, the telemetry
 bundle, and the end-to-end acceptance invariant — one fault-harness run
-of the replicated topology produces a single merged snapshot covering
+of a replicated ``Service`` produces a single merged snapshot covering
 every pipeline stage with p50/p95/p99 on every latency series, plus a
 loadable Chrome trace."""
 
@@ -31,11 +31,10 @@ from repro.obs import (
     write_metrics_json,
     write_metrics_prometheus,
 )
+from repro.faults.inject import FaultInjector
 from repro.obs.tracing import NULL_SPAN
-from repro.replica import ReplicatedClusteringService
+from repro.serve import Service
 from repro.stream import ClusteringService, StreamConfig
-
-from faultinject import FaultInjector
 
 
 # ---------------------------------------------------------------------------
@@ -401,49 +400,47 @@ class TestEndToEndAcceptance:
     def test_fault_harness_run_yields_one_merged_snapshot(self, tmp_path):
         """The PR's acceptance invariant, verbatim.
 
-        One replicated-topology run under the fault harness (dry run —
+        One replicated ``Service`` run under the fault harness (dry run —
         intercepting every durability boundary without crashing) must
-        produce a *single* merged ``stats()`` snapshot covering stream,
+        produce a *single* merged ``stats()`` snapshot covering ingest,
         engine round phases, oplog fsync, checkpoint, shipper and
         replica lag — with p50/p95/p99 on every latency series — plus a
         Chrome trace that loads as JSON.
         """
         factory, events = access_events()
         telemetry = Telemetry()
-        config = StreamConfig(
-            n_shards=2,
-            batch_max_ops=32,
-            train_rounds=2,
-            oplog_path=tmp_path / "primary" / "oplog.jsonl",
-            checkpoint_dir=tmp_path / "primary" / "checkpoints",
-            fsync=True,
-            telemetry=telemetry,
-        )
         with FaultInjector(obs=telemetry) as injector:
-            service = ReplicatedClusteringService(
-                factory, config, max_segment_ops=64
+            service = Service.open(
+                engine_factory=factory,
+                n_shards=2,
+                batch_max_ops=32,
+                train_rounds=2,
+                root_dir=tmp_path / "state",
+                fsync=True,
+                telemetry=telemetry,
+                max_segment_ops=64,
             )
-            service.add_replica(name="replica-0")
+            tenant = service.tenant("a")
+            replica = tenant.add_replica(name="replica-0")
             half = len(events) // 2
-            service.ingest(events[:half])
+            tenant.ingest(events[:half])
             service.sync()
             service.checkpoint()
-            service.ingest(events[half:])
-            service.flush()
+            tenant.ingest(events[half:])
+            tenant.flush()
             service.sync()
-            lag = service.lag()
+            lag = replica.lag()
             merged = service.stats()
             service.close()
         assert len(injector) > 0  # the harness really intercepted ops
 
-        # One snapshot, from the one shared recorder: primary, shipper
-        # and replica all report the same telemetry object.
-        assert merged["primary"]["telemetry"] is not None
-        families = merged["primary"]["telemetry"]["metrics"]["span_seconds"]
+        # One snapshot, from the one shared recorder: tenant pools,
+        # shipper and replica all report the same telemetry object.
+        families = merged["telemetry"]["metrics"]["span_seconds"]
         span_names = {key.split("=", 1)[1] for key in families}
         assert {
-            "stream.ingest",          # ingest → route → batch → apply
-            "stream.route",
+            "serve.ingest",           # ingest → route → batch → apply
+            "serve.tenant.activate",
             "stream.batch.apply",
             "shard.apply",
             "engine.train",           # round phases
@@ -463,15 +460,16 @@ class TestEndToEndAcceptance:
             assert series["p50"] <= series["p95"] <= series["p99"], key
 
         # The fault harness's own counters landed in the same snapshot.
-        ops = merged["primary"]["telemetry"]["metrics"]["faultinject_ops_total"]
+        ops = merged["telemetry"]["metrics"]["faultinject_ops_total"]
         assert ops.get("kind=fsync", 0) > 0
         assert ops.get("kind=replace", 0) > 0
 
         # Replica lag includes the monotonic freshness gauge and the
         # clamped staleness, and the whole thing serialises.
-        assert lag[0]["seq_delta"] == 0
-        assert lag[0]["applied_age_s"] >= 0.0
-        assert lag[0]["staleness_s"] >= 0.0
+        assert lag["seq_delta"] == 0
+        assert lag["applied_age_s"] >= 0.0
+        assert lag["staleness_s"] >= 0.0
+        assert merged["replicas"]["replica-0"]["seq_delta"] == 0
         json.dumps(merged)
 
         # And the trace is a loadable Chrome trace covering both rows.
@@ -480,7 +478,7 @@ class TestEndToEndAcceptance:
         tids = {event["tid"] for event in trace["traceEvents"]}
         assert {"service", "replica-0"} <= tids
         names = {event["name"] for event in trace["traceEvents"]}
-        assert "stream.ingest" in names and "replica.poll" in names
+        assert "serve.ingest" in names and "replica.poll" in names
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,6 @@ def test_serve_is_the_front_door():
 
 
 def test_deprecated_facades_still_exported():
-    """The old entry points remain public for the migration window."""
+    """The old entry point remains public for the migration window."""
     stream = importlib.import_module("repro.stream")
-    replica = importlib.import_module("repro.replica")
     assert "ClusteringService" in stream.__all__
-    assert "ReplicatedClusteringService" in replica.__all__

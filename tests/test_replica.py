@@ -1,10 +1,16 @@
-"""Tests for `repro.replica`: segments, transports, shipping, replicas,
-and the primary/replica façade — including the acceptance invariants:
-a replica fed only shipped segments + checkpoints reproduces the
-primary's exact partition, and a promoted follower's subsequent ingest
-matches an uninterrupted run."""
+"""Tests for `repro.replica`: segments, transports, shipping, replicas
+and failover — including the acceptance invariants: a replica fed only
+shipped segments + checkpoints reproduces the primary's exact
+partition, and a promoted follower's subsequent ingest matches an
+uninterrupted run.
+
+Topology behaviour (attach, sync, compaction floor, lag) goes through
+the one replication path, ``Service.tenant(name).add_replica()``;
+replica and shipper mechanics call the primitives directly."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -18,9 +24,9 @@ from repro.replica import (
     LogShipper,
     MailboxTransport,
     ReadReplica,
-    ReplicatedClusteringService,
     ReplicationGap,
 )
+from repro.serve import Service
 from repro.stream import ClusteringService, StreamConfig, add
 from repro.stream.oplog import open_log
 
@@ -49,11 +55,18 @@ def make_factory(dataset):
     return factory
 
 
+ROUND_CUT = dict(n_shards=2, batch_max_ops=32, train_rounds=2)
+
+
+def open_service(dataset, root, **overrides) -> Service:
+    return Service.open(
+        engine_factory=make_factory(dataset), root_dir=root, **ROUND_CUT, **overrides
+    )
+
+
 def durable_config(root, **overrides) -> StreamConfig:
     settings = dict(
-        n_shards=2,
-        batch_max_ops=32,
-        train_rounds=2,
+        ROUND_CUT,
         oplog_path=root / "oplog",
         checkpoint_dir=root / "checkpoints",
     )
@@ -141,72 +154,60 @@ class TestReplication:
     ):
         """Acceptance: shipped segments + checkpoints → frozenset-equal
         partitions, for both storage backends."""
-        factory = make_factory(dataset)
-        checkpoint_backend = "json" if backend == "jsonl" else "sqlite"
-        config = durable_config(
-            tmp_path / "primary",
+        svc = open_service(
+            dataset,
+            tmp_path / "state",
             log_backend=backend,
-            checkpoint_backend=checkpoint_backend,
+            checkpoint_backend="json" if backend == "jsonl" else "sqlite",
+            max_segment_ops=50,
         )
-        service = ReplicatedClusteringService(factory, config, max_segment_ops=50)
-        replica = service.add_replica(
-            durable_config(
-                tmp_path / "replica",
-                log_backend=backend,
-                checkpoint_backend=checkpoint_backend,
-            ),
-            name="follower",
-        )
+        tenant = svc.tenant("a")
+        replica = tenant.add_replica(name="follower")
         # Interleave ingest and catch-up, ending mid-batch.
         third = len(events) // 3
-        service.ingest(events[:third])
-        service.sync()
-        service.ingest(events[third : 2 * third])
-        service.checkpoint()  # ships first, then snapshots + compacts
-        service.ingest(events[2 * third :])
-        service.flush()
-        applied = service.sync()
-        assert applied > 0
+        tenant.ingest(events[:third])
+        svc.sync()
+        tenant.ingest(events[third : 2 * third])
+        svc.checkpoint()
+        svc.compact()  # bounded by the follower's shipping cursor
+        tenant.ingest(events[2 * third :])
+        tenant.flush()
+        applied = svc.sync()["applied"]
+        assert applied["follower"] > 0
 
-        assert replica.partition() == service.primary.partition()
-        assert (
-            replica.service.membership.live_ids()
-            == service.primary.membership.live_ids()
-        )
+        pool = svc.manager.activate("a").service
+        assert replica.partition() == tenant.partition()
+        assert replica.service.membership.live_ids() == pool.membership.live_ids()
         lag = replica.lag()
         assert lag["seq_delta"] == 0
-        assert lag["received_seq"] == service.primary.oplog.last_seq
-        service.close()
+        assert lag["received_seq"] == svc.manager.oplog.last_seq
+        svc.close()
 
     def test_late_replica_bootstraps_from_checkpoint(
         self, dataset, events, tmp_path
     ):
         """A replica attached after compaction starts from the snapshot
         and is shipped only the suffix."""
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
+        svc = open_service(dataset, tmp_path / "state")
+        tenant = svc.tenant("a")
         half = len(events) // 2
-        service.ingest(events[:half])
-        service.checkpoint()  # compacts the log prefix
-        checkpoint_seq = service.primary.applied_seq
+        tenant.ingest(events[:half])
+        svc.checkpoint()
+        checkpoint_seq = svc.manager.activate("a").service.applied_seq
+        assert svc.compact()["truncated_through"] == checkpoint_seq
 
-        replica = service.add_replica(durable_config(tmp_path / "late"))
+        replica = tenant.add_replica()
         assert replica.received_seq == checkpoint_seq
-        assert replica.num_objects() == service.primary.num_objects()
+        assert replica.num_objects() == tenant.num_objects()
 
-        service.ingest(events[half:])
-        service.flush()
-        service.sync()
-        assert replica.partition() == service.primary.partition()
+        tenant.ingest(events[half:])
+        tenant.flush()
+        svc.sync()
+        assert replica.partition() == tenant.partition()
         # Only the post-checkpoint suffix travelled over the wire.
         assert replica.segments_applied >= 1
-        assert (
-            replica.stats()["events_ingested"]
-            < service.primary.stats()["events_ingested"]
-        )
-        service.close()
+        assert replica.stats()["ops_total"] < tenant.stats()["ops_total"]
+        svc.close()
 
     def test_mailbox_replication_across_instances(self, dataset, events, tmp_path):
         """Primary and follower share nothing but a mailbox directory
@@ -235,13 +236,10 @@ class TestReplication:
     def test_replica_refuses_gap_and_drops_duplicates(
         self, dataset, events, tmp_path
     ):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        replica = service.add_replica(name="r")
-        service.ingest(events[:64])
-        service.sync()
+        svc = open_service(dataset, tmp_path / "state")
+        replica = svc.tenant("a").add_replica(name="r")
+        svc.tenant("a").ingest(events[:64])
+        svc.sync()
         seen = replica.received_seq
         assert seen == 64
 
@@ -258,168 +256,117 @@ class TestReplication:
         )
         with pytest.raises(ReplicationGap, match="refusing to apply past a gap"):
             replica.apply_segment(future)
-        service.close()
+        svc.close()
 
-    def test_divergent_round_cut_parameters_refused(self, dataset, tmp_path):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        with pytest.raises(ValueError, match="round-cut"):
-            service.add_replica(
-                durable_config(tmp_path / "bad", batch_max_ops=64)
-            )
-        with pytest.raises(ValueError, match="round-cut"):
-            service.add_replica(durable_config(tmp_path / "bad2", n_shards=4))
-        service.close()
+    def test_divergent_round_cut_parameters_refused(self):
+        """A follower cutting different rounds from the same log would
+        silently diverge: a snapshot recorded under other round-cut
+        parameters is refused at bootstrap."""
+        snapshot = {"applied_seq": 8, **ROUND_CUT, "shards": []}
+        for divergent in ({"batch_max_ops": 64}, {"n_shards": 4}):
+            config = StreamConfig(**{**ROUND_CUT, **divergent})
+            with pytest.raises(ValueError, match="round-cut"):
+                ReadReplica.bootstrap(
+                    lambda: None, config, InProcessTransport(), snapshot=snapshot
+                )
 
-    def test_snapshot_seeded_replica_requires_local_checkpoints(
-        self, dataset, events, tmp_path
-    ):
+    def test_snapshot_seeded_replica_requires_local_checkpoints(self, tmp_path):
         """A durable-log replica bootstrapped from a snapshot must also
         have a local checkpoint store — otherwise its log starts past
         seq 1 with the prefix stored nowhere, and restart/promote()
         would refuse the gap. Both seeding paths reject it up front."""
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        service.ingest(events[:64])
-        service.checkpoint()
+        snapshot = {"applied_seq": 8, **ROUND_CUT, "shards": []}
         log_only = durable_config(tmp_path / "logonly", checkpoint_dir=None)
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            service.add_replica(log_only, name="log-only")
-        snapshot = service.primary.checkpoints.load_latest()
+            ReadReplica.bootstrap(
+                lambda: None, log_only, InProcessTransport(), snapshot=snapshot
+            )
         with pytest.raises(ValueError, match="bootstrap"):
             ReadReplica(
-                factory, log_only, InProcessTransport(), snapshot=snapshot
+                lambda: None, log_only, InProcessTransport(), snapshot=snapshot
             )
-        service.close()
-
-    def test_ephemeral_primary_refused(self, dataset):
-        with pytest.raises(ValueError, match="oplog_path"):
-            ReplicatedClusteringService(
-                make_factory(dataset), StreamConfig(n_shards=1)
-            )
-
-    def test_round_robin_reads_and_staleness(self, dataset, events, tmp_path):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        service.add_replica(name="a")
-        service.add_replica(name="b")
-        service.ingest(events[:64])
-        # Reads route to replicas, which haven't heard anything yet:
-        # eventual consistency is visible (and queryable via lag()).
-        live_id = next(iter(service.primary.membership.live_ids()))
-        assert service.primary.cluster_of(live_id) is not None
-        assert service.cluster_of(live_id) is None
-        assert service.members_of(live_id) == frozenset()
-        before = service._reader
-        service.cluster_of(live_id)
-        service.cluster_of(live_id)
-        assert service._reader == before + 2  # round-robin advanced
-
-        service.sync()
-        assert service.cluster_of(live_id) is not None
-        assert live_id in service.members_of(live_id)
-        assert service.num_objects() == service.primary.num_objects()
-        for lag in service.lag():
-            assert lag["seq_delta"] == 0
-        service.close()
 
     def test_lag_reports_seq_delta_and_staleness(self, dataset, events, tmp_path):
-        clock = FakeClock(100.0)
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary"), clock=clock
-        )
-        replica = service.add_replica(name="laggy")
-        service.ingest(events[:40])
-        service.sync()
+        svc = open_service(dataset, tmp_path / "state")
+        tenant = svc.tenant("a")
+        replica = tenant.add_replica(name="laggy")
+        tenant.ingest(events[:40])
+        svc.sync()
         assert replica.lag()["seq_delta"] == 0
-        assert replica.lag()["staleness_s"] == 0.0
 
-        clock.advance(5.0)
-        service.ingest(events[40:80])  # shipped nowhere yet
+        tenant.ingest(events[40:80])  # shipped nowhere yet
+        time.sleep(0.05)
         lag = replica.lag()
-        assert lag["staleness_s"] == 5.0
+        assert lag["staleness_s"] >= 0.05
         assert lag["seq_delta"] == 0  # replica hasn't heard about them…
-        service.shipper.ship(heartbeat=True)  # …until a heartbeat tells it
-        replica.poll()
+        svc.sync(heartbeat=True)  # …until the next ship tells it
         assert replica.lag()["seq_delta"] == 0  # data segments applied too
-        assert replica.lag()["staleness_s"] == 0.0
+        assert replica.lag()["staleness_s"] < lag["staleness_s"]
 
-        stats = service.stats()
+        stats = svc.stats()
         assert stats["shipping"][0]["behind"] == 0
-        assert stats["primary"]["oplog_bytes"] > 0
-        service.close()
+        assert stats["oplog"]["bytes"] > 0
+        svc.close()
 
 
 class TestPromotion:
     def test_promoted_follower_matches_uninterrupted_run(
         self, dataset, events, tmp_path
     ):
-        """Acceptance: promote() yields a primary whose subsequent
-        ingest matches an uninterrupted run."""
+        """Acceptance: a promoted durable follower's subsequent ingest
+        matches an uninterrupted run."""
         factory = make_factory(dataset)
         reference = ClusteringService(factory, durable_config(tmp_path / "ref"))
         reference.ingest(events)
         reference.flush()
 
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
+        primary = ClusteringService(factory, durable_config(tmp_path / "primary"))
+        shipper = LogShipper(primary.oplog, snapshots=primary.checkpoints.load_latest)
+        transport = InProcessTransport()
+        shipper.attach(transport, from_seq=0)
+        heir = ReadReplica.bootstrap(
+            factory, durable_config(tmp_path / "heir"), transport, name="heir"
         )
-        survivor = service.add_replica(name="witness")  # ephemeral bystander
-        service.add_replica(durable_config(tmp_path / "heir"), name="heir")
         cut = (len(events) * 2) // 3  # deliberately mid-batch
-        service.ingest(events[:cut])
+        primary.ingest(events[:cut])
+        shipper.ship()  # a clean failover drains everything committed
+        heir.poll()
+        primary.close()
 
-        promoted = service.promote(1)  # final sync + failover
-        assert promoted is service.primary
+        promoted = heir.promote()
         assert promoted.applied_seq <= promoted.oplog.last_seq
-
-        service.ingest(events[cut:])
-        service.flush()
-        service.sync()
+        promoted.ingest(events[cut:])
+        promoted.flush()
 
         assert promoted.partition() == reference.partition()
         assert (
             promoted.membership.live_ids() == reference.membership.live_ids()
         )
         assert promoted.applied_seq == reference.applied_seq
-        # The surviving replica kept tailing across the failover.
-        assert survivor.partition() == reference.partition()
         reference.close()
-        service.close()
+        promoted.close()
 
     def test_promote_requires_durable_replica(self, dataset, events, tmp_path):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
-        )
-        service.add_replica(name="ephemeral")
-        service.ingest(events[:32])
+        """Serve replicas are ephemeral: they serve reads but own no log,
+        so they cannot become a primary."""
+        svc = open_service(dataset, tmp_path / "state")
+        replica = svc.tenant("a").add_replica(name="ephemeral")
+        svc.tenant("a").ingest(events[:32])
+        svc.sync()
         with pytest.raises(ValueError, match="ephemeral"):
-            service.promote(0)
-        service.close()
+            replica.promote()
+        svc.close()
 
-    def test_promote_refuses_divergent_round_cut_config(
-        self, dataset, events, tmp_path
-    ):
-        factory = make_factory(dataset)
-        service = ReplicatedClusteringService(
-            factory, durable_config(tmp_path / "primary")
+    def test_promote_refuses_divergent_round_cut_config(self, dataset, tmp_path):
+        replica = ReadReplica(
+            make_factory(dataset),
+            durable_config(tmp_path / "heir"),
+            InProcessTransport(),
+            name="heir",
         )
-        replica = service.add_replica(
-            durable_config(tmp_path / "heir"), name="heir"
-        )
-        service.ingest(events[:32])
-        service.sync()
         with pytest.raises(ValueError, match="round-cut"):
             replica.promote(durable_config(tmp_path / "heir", batch_max_ops=64))
-        service.close()
+        replica.close()
 
     def test_durable_replica_restarts_from_own_state(
         self, dataset, events, tmp_path
@@ -461,14 +408,3 @@ def _segments_upto(shipper, transport, upto_seq):
     """Ship everything, but hand over only segments ending <= upto_seq."""
     shipper.ship()
     return [s for s in transport.poll() if s.last_seq <= upto_seq]
-
-
-class FakeClock:
-    def __init__(self, now: float) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds

@@ -462,26 +462,39 @@ class TestServeConfig:
         svc.close()
 
 
+class TestFreshness:
+    def test_commit_watermark_comes_from_the_shared_log(self, dataset, tmp_path):
+        """Tenant pools own no log, so the serve front door itself sets
+        the node's commit watermark gauge and reports it in stats."""
+        svc = open_service(dataset, root_dir=tmp_path / "state", telemetry="on")
+        svc.tenant("a").ingest([add(i, pv(dataset, i)) for i in range(5)])
+        newest = svc.manager.oplog.last_watermark_ts
+        assert newest is not None
+        assert svc.tenant("a").stats()["commit_watermark_ts"] == newest
+        stats = svc.stats()
+        assert stats["oplog"]["last_watermark_ts"] == newest
+        gauge = stats["telemetry"]["metrics"]["commit_watermark_ts"]
+        assert gauge == {"replica=serve": newest}
+        svc.close()
+
+
 class TestDeprecatedFacades:
     def test_old_entry_points_warn(self, dataset):
-        with pytest.warns(DeprecationWarning, match="repro.serve.Service"):
+        """Both public entry points warn once, attributed to the caller
+        (the frame Python's default warning filters look at)."""
+        with pytest.warns(DeprecationWarning, match="repro.serve.Service") as record:
             service = ClusteringService(make_factory(dataset), StreamConfig(**CUT))
+        assert [w.filename for w in record] == [__file__]
         service.ingest([add(1, pv(dataset, 1))])  # still fully functional
         service.flush()
         assert service.num_objects() == 1
         service.close()
-
-    def test_replicated_facade_warns(self, dataset, tmp_path):
-        from repro.replica import ReplicatedClusteringService
-
-        config = StreamConfig(
-            **CUT,
-            oplog_path=tmp_path / "oplog",
-            checkpoint_dir=tmp_path / "ckpt",
-        )
-        with pytest.warns(DeprecationWarning, match="repro.serve.Service"):
-            service = ReplicatedClusteringService(make_factory(dataset), config)
-        service.close()
+        with pytest.warns(DeprecationWarning, match="recover") as record:
+            recovered = ClusteringService.recover(
+                make_factory(dataset), StreamConfig(**CUT)
+            )
+        assert [w.filename for w in record] == [__file__]
+        recovered.close()
 
     def test_serve_path_is_warning_free(self, dataset, tmp_path):
         """The new front door builds the same internals silently."""

@@ -61,7 +61,7 @@ class TestServiceBasics:
             # ≥ 5 ingest rounds ran on both shards.
             assert stats["batches_applied"] >= 5
             assert stats["applied_seq"] == len(access_events)
-            assert stats["pending_ops"] == 0
+            assert stats["backlog"] == 0
             for shard_stats in stats["shards"]:
                 assert shard_stats["trained"]
                 assert shard_stats["rounds_predicted"] >= 1
@@ -448,7 +448,7 @@ class TestCrashRecovery:
         service.ingest(access_events[:200])
         service.close()
         recovered = ClusteringService.recover(factory, config)
-        assert recovered.stats()["events_ingested"] == 200
+        assert recovered.stats()["ops_total"] == 200
 
     def test_skipped_round_still_counts_ignored_ops(self, access_dataset):
         service = ClusteringService(
